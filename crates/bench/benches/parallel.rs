@@ -1,9 +1,10 @@
-//! Serial-vs-parallel comparison of the three analysis steps on the shared
+//! Serial-vs-parallel comparison of the pooled analysis steps on the shared
 //! worker pool, emitting machine-readable speedups to `BENCH_parallel.json`.
 //!
-//! Step 1 is the disjoint-cut computation ([`CutState::compute_with`]),
-//! step 2 the full CPM ([`als_cpm::compute_full_with`]) and step 3 the
-//! bit-parallel simulation ([`Simulator::new_with`]). Each step is timed
+//! The steps are the full CPM ([`als_cpm::compute_full_with`], analysis
+//! step 2) and the bit-parallel simulation ([`Simulator::new_with`]); the
+//! disjoint cuts of step 1 are filled sequentially by construction
+//! ([`CutState::compute`]) and only feed the CPM here. Each step is timed
 //! with a 1-thread pool and with an N-thread pool (`ALS_BENCH_THREADS`,
 //! default 4) and the parallel result is asserted bit-identical to the
 //! serial one before any number is reported.
@@ -91,26 +92,20 @@ fn main() {
     let pool = WorkerPool::with_config(threads, SchedConfig::from_env()).with_obs(&obs);
 
     let mut circuit_rows: Vec<String> = Vec::new();
-    let mut step12 = Vec::new();
+    let mut cpm_speedups = Vec::new();
     for name in ["sm9x8", "mult16", "adder"] {
         let aig = benchmark(name, BenchmarkScale::Reduced);
         let patterns = PatternSet::random(aig.num_inputs(), PATTERN_WORDS, 0xA15);
 
-        // Step 3 first: both later steps consume the simulator.
+        // Simulation first: the CPM consumes the simulator.
         let (sim, sim_serial_ms) = time_ms(|| Simulator::new_with(&aig, &patterns, &serial));
         let (psim, sim_parallel_ms) = time_ms(|| Simulator::new_with(&aig, &patterns, &pool));
         for id in aig.iter_live() {
             assert_eq!(sim.value(id), psim.value(id), "{name}: sim diverged at {id}");
         }
 
-        // Step 1: disjoint cuts.
-        let (cuts, cut_serial_ms) = time_ms(|| CutState::compute_with(&aig, &serial).unwrap());
-        let (pcuts, cut_parallel_ms) = time_ms(|| CutState::compute_with(&aig, &pool).unwrap());
-        for id in aig.iter_live() {
-            assert_eq!(cuts.cut(id), pcuts.cut(id), "{name}: cuts diverged at {id}");
-        }
-
-        // Step 2: full CPM.
+        // Full CPM over the (serially filled) disjoint cuts.
+        let cuts = CutState::compute(&aig);
         let (cpm, cpm_serial_ms) =
             time_ms(|| compute_full_with(&aig, &sim, &cuts, &serial).unwrap());
         let (pcpm, cpm_parallel_ms) =
@@ -120,13 +115,10 @@ fn main() {
         }
 
         let steps = [
-            StepRow { step: "cuts", serial_ms: cut_serial_ms, parallel_ms: cut_parallel_ms },
             StepRow { step: "cpm", serial_ms: cpm_serial_ms, parallel_ms: cpm_parallel_ms },
             StepRow { step: "sim", serial_ms: sim_serial_ms, parallel_ms: sim_parallel_ms },
         ];
-        for s in &steps[..2] {
-            step12.push(s.speedup());
-        }
+        cpm_speedups.push(steps[0].speedup());
         for s in &steps {
             println!(
                 "bench: parallel/{name}/{:<4} serial {:>9.3} ms  x{threads} {:>9.3} ms  \
@@ -145,7 +137,8 @@ fn main() {
         ));
     }
 
-    let geomean = (step12.iter().map(|s| s.ln()).sum::<f64>() / step12.len() as f64).exp();
+    let geomean =
+        (cpm_speedups.iter().map(|s| s.ln()).sum::<f64>() / cpm_speedups.len() as f64).exp();
     let cutover_parallel = obs.counter("als_sched_cutover_parallel_total", "").get();
     let cutover_serial = obs.counter("als_sched_cutover_serial_total", "").get();
     let cutover_floor = obs.counter("als_sched_cutover_floor_total", "").get();
@@ -171,7 +164,7 @@ fn main() {
     };
     let json = format!(
         "{{\n  \"threads\": {threads},\n  \"host_threads\": {host_threads},{note}\n  \
-         \"pattern_words\": {PATTERN_WORDS},\n  \"geomean_speedup_steps_1_2\": {geomean:.3},\n  \
+         \"pattern_words\": {PATTERN_WORDS},\n  \"geomean_speedup_cpm\": {geomean:.3},\n  \
          \"sched\": {{\n    \"cutover_parallel\": {cutover_parallel},\n    \
          \"cutover_serial\": {cutover_serial},\n    \"cutover_floor\": {cutover_floor},\n    \
          \"steals\": {steals},\n    \"mean_pred_err_pct\": {mean_pred_err}\n  }},\n  \
@@ -181,5 +174,5 @@ fn main() {
     let out = std::env::var("ALS_BENCH_OUT")
         .unwrap_or_else(|_| format!("{}/../../BENCH_parallel.json", env!("CARGO_MANIFEST_DIR")));
     std::fs::write(&out, &json).expect("write BENCH_parallel.json");
-    println!("bench: parallel geomean speedup (steps 1+2) {geomean:.2} -> {out}");
+    println!("bench: parallel geomean speedup (cpm) {geomean:.2} -> {out}");
 }

@@ -1,5 +1,8 @@
 //! Closest disjoint cuts (SEALS-style).
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use als_aig::{Aig, NodeId};
 use als_sim::PackedBits;
 
@@ -95,79 +98,173 @@ fn member_mask(member: CutMember, reach: &ReachMap) -> PackedBits {
     }
 }
 
-/// Expansion priority: topological rank for nodes, maximal for sinks.
-fn member_rank(member: CutMember, rank: &[u32]) -> u64 {
-    match member {
-        CutMember::Node(t) => rank[t.index()] as u64,
-        CutMember::Output(o) => u64::from(u32::MAX) + 1 + o as u64,
-    }
-}
-
-/// Computes the closest disjoint cut of `n` by frontier expansion.
+/// Computes the closest disjoint cut of `n`.
 ///
-/// The frontier starts at `n`'s direct fanouts (plus sinks for directly
-/// driven outputs). While two frontier members' covered-output masks
-/// intersect — i.e. their TFO cones reconverge — the topologically earliest
-/// conflicting member is expanded into *its* fanouts. Expansion always moves
-/// toward the sinks, where distinct outputs are trivially disjoint, so the
-/// loop terminates; expanding the earliest conflict keeps the cut as close
-/// to `n` as the reconvergence structure allows.
+/// The result is unique: for every output `o` that `n` reaches, its member
+/// is the earliest node `t` that lies on every path from `n` to *every*
+/// output `t` reaches (the virtual sink of `o` when no gate qualifies).
+/// A frontier that starts at `n`'s fanouts (plus sinks for directly
+/// driven outputs) reaches this set by any expansion order that only ever
+/// expands a *conflicting* member — one whose covered outputs overlap
+/// another member's — because a member of the result never conflicts and
+/// every other frontier node always does.
+///
+/// This function runs that expansion as a sweep in rank order: it pops the
+/// lowest-rank frontier node and expands it iff its reach mask hits an
+/// output that two members cover. A popped node that does not conflict is
+/// final, since later expansions only add nodes downstream of members
+/// whose outputs are disjoint from its own. This function reads no stored
+/// cuts, which makes it the independent ground truth for
+/// [`crate::CutState::spot_check`].
+///
+/// [`crate::CutState`] fills its cuts fanouts-first with the same sweep
+/// plus one reuse rule: when the sweep expands a node `t` whose cut is
+/// already stored, it pushes the members of `cut(t)` instead of `t`'s
+/// fanouts. A node strictly between `t` and `cut(t)` is never a member of
+/// `n`'s cut: it is not on every path from `t` to the outputs it reaches
+/// (else it would be `t`'s member), so some path from `t` avoids it and
+/// meets the member of `cut(t)` covering one of those outputs, and the two
+/// conflict in `n`'s frontier too.
 ///
 /// `rank` must be [`als_aig::topo::topo_ranks`] for the current graph.
 /// An unused node (empty reachable set) gets an empty cut.
 pub fn closest_disjoint_cut(aig: &Aig, reach: &ReachMap, rank: &[u32], n: NodeId) -> DisjointCut {
-    struct Entry {
-        member: CutMember,
-        mask: PackedBits,
-        rank: u64,
-    }
+    CutSweep::default().run(aig, reach, rank, n, |_| None)
+}
 
-    let mut entries: Vec<Entry> = Vec::new();
-    let push = |entries: &mut Vec<Entry>, member: CutMember| {
-        if entries.iter().all(|e| e.member != member) {
-            entries.push(Entry {
-                member,
-                mask: member_mask(member, reach),
-                rank: member_rank(member, rank),
-            });
+/// Reusable scratch of the rank-ordered sweep: epoch-stamped push marks and
+/// per-output cover counts, a "covered at least twice" bitset and the
+/// frontier heap. Nothing sized by the graph is cleared between cuts, so a
+/// sweep costs its frontier, not the graph.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct CutSweep {
+    epoch: u32,
+    /// Epoch in which each node was pushed.
+    pushed: Vec<u32>,
+    /// Epoch in which each output's sink was pushed.
+    sink_pushed: Vec<u32>,
+    /// Per output, `(epoch, count)` of the frontier members covering it.
+    cover: Vec<(u32, u32)>,
+    /// Outputs covered by two or more frontier members.
+    multi: Vec<u64>,
+    frontier: BinaryHeap<Reverse<(u32, NodeId)>>,
+    members: Vec<CutMember>,
+}
+
+impl CutSweep {
+    /// The closest disjoint cut of `n` (see [`closest_disjoint_cut`]).
+    ///
+    /// `stored(t)` may return a cut already computed for a node `t`
+    /// downstream of `n`; an expanded `t` with a stored cut is replaced by
+    /// that cut's members (the reuse rule of [`closest_disjoint_cut`]).
+    /// The result is unchanged as long as every stored cut is the current
+    /// closest cut of its node.
+    pub(crate) fn run<'c>(
+        &mut self,
+        aig: &Aig,
+        reach: &ReachMap,
+        rank: &[u32],
+        n: NodeId,
+        mut stored: impl FnMut(NodeId) -> Option<&'c DisjointCut>,
+    ) -> DisjointCut {
+        self.begin(aig.num_nodes(), reach);
+        for &f in aig.fanouts(n) {
+            self.push(CutMember::Node(f), reach, rank);
         }
-    };
-
-    for &f in aig.fanouts(n) {
-        push(&mut entries, CutMember::Node(f));
-    }
-    for &o in aig.output_refs(n) {
-        push(&mut entries, CutMember::Output(o));
-    }
-
-    loop {
-        entries.sort_by_key(|e| e.rank);
-        // Find the first member whose mask intersects an earlier member's.
-        let mut conflict: Option<usize> = None;
-        'outer: for j in 1..entries.len() {
-            for i in 0..j {
-                if masks_intersect(&entries[i].mask, &entries[j].mask) {
-                    conflict = Some(i); // expand the earlier (lower-rank) one
-                    break 'outer;
+        for &o in aig.output_refs(n) {
+            self.push(CutMember::Output(o), reach, rank);
+        }
+        while let Some(Reverse((_, t))) = self.frontier.pop() {
+            let conflicts = reach.mask(t).words().iter().zip(&self.multi).any(|(m, x)| m & x != 0);
+            if !conflicts {
+                self.members.push(CutMember::Node(t));
+                continue;
+            }
+            for o in reach.mask(t).iter_ones() {
+                self.uncover(o);
+            }
+            if let Some(cut) = stored(t) {
+                for &m in cut.members() {
+                    self.push(m, reach, rank);
+                }
+            } else {
+                for &f in aig.fanouts(t) {
+                    self.push(CutMember::Node(f), reach, rank);
+                }
+                for &o in aig.output_refs(t) {
+                    self.push(CutMember::Output(o), reach, rank);
                 }
             }
         }
-        let Some(i) = conflict else { break };
-        let Entry { member, .. } = entries.remove(i);
-        let CutMember::Node(t) = member else {
-            unreachable!("two output sinks never conflict, so the earlier member is a node");
-        };
-        for &f in aig.fanouts(t) {
-            push(&mut entries, CutMember::Node(f));
+        self.members.sort_unstable();
+        DisjointCut { members: self.members.clone() }
+    }
+
+    /// Starts a new sweep: sizes the scratch and advances the epoch.
+    fn begin(&mut self, num_nodes: usize, reach: &ReachMap) {
+        if self.pushed.len() < num_nodes {
+            self.pushed.resize(num_nodes, 0);
         }
-        for &o in aig.output_refs(t) {
-            push(&mut entries, CutMember::Output(o));
+        if self.cover.len() < reach.num_outputs() {
+            self.sink_pushed.resize(reach.num_outputs(), 0);
+            self.cover.resize(reach.num_outputs(), (0, 0));
+        }
+        self.multi.clear();
+        self.multi.resize(reach.mask_words(), 0);
+        self.frontier.clear();
+        self.members.clear();
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            // Wrapped: stale stamps could alias the new epoch.
+            self.pushed.fill(0);
+            self.sink_pushed.fill(0);
+            self.cover.fill((0, 0));
+            self.epoch = 1;
         }
     }
 
-    let mut members: Vec<CutMember> = entries.into_iter().map(|e| e.member).collect();
-    members.sort();
-    DisjointCut { members }
+    /// Adds `m` to the frontier unless this sweep already pushed it.
+    fn push(&mut self, m: CutMember, reach: &ReachMap, rank: &[u32]) {
+        match m {
+            CutMember::Node(t) => {
+                if self.pushed[t.index()] == self.epoch {
+                    return;
+                }
+                self.pushed[t.index()] = self.epoch;
+                self.frontier.push(Reverse((rank[t.index()], t)));
+                for o in reach.mask(t).iter_ones() {
+                    self.cover(o);
+                }
+            }
+            CutMember::Output(o) => {
+                let o_ix = o as usize;
+                if self.sink_pushed[o_ix] == self.epoch {
+                    return;
+                }
+                self.sink_pushed[o_ix] = self.epoch;
+                // Sinks rank after every node and never conflict with each
+                // other, so they are final the moment they are pushed.
+                self.members.push(m);
+                self.cover(o_ix);
+            }
+        }
+    }
+
+    fn cover(&mut self, o: usize) {
+        let slot = &mut self.cover[o];
+        *slot = if slot.0 == self.epoch { (slot.0, slot.1 + 1) } else { (self.epoch, 1) };
+        if slot.1 == 2 {
+            self.multi[o / 64] |= 1 << (o % 64);
+        }
+    }
+
+    fn uncover(&mut self, o: usize) {
+        let slot = &mut self.cover[o];
+        slot.1 = slot.1.saturating_sub(1);
+        if slot.1 == 1 {
+            self.multi[o / 64] &= !(1 << (o % 64));
+        }
+    }
 }
 
 /// Validates that `cut` is a disjoint cut of `n`: covered sets are pairwise

@@ -18,9 +18,8 @@
 use std::sync::{Arc, Mutex};
 
 use als_aig::{Aig, EditRecord, NodeId};
-use als_par::{WorkerPanic, WorkerPool};
 
-use crate::disjoint::{closest_disjoint_cut, verify_cut, DisjointCut};
+use crate::disjoint::{verify_cut, CutSweep, DisjointCut};
 use crate::reach::ReachMap;
 
 /// Wave value of a node with no CPM wave (dead, or no stored cut).
@@ -101,12 +100,14 @@ pub struct CutState {
     ranks: Vec<u32>,
     cuts: Vec<Option<DisjointCut>>,
     /// Per-node CPM wave (`NO_WAVE` when none), maintained alongside the
-    /// cuts: fully derived by [`CutState::compute_with`], incrementally
+    /// cuts: fully derived by [`CutState::compute`], incrementally
     /// refreshed for `S_v` by [`CutState::update_after`].
     cpm_wave: Vec<u32>,
     /// Cached full-sweep schedule, dropped whenever an update changes any
     /// wave or invalidates the stored ranks.
     plan: PlanCell,
+    /// Scratch of the cut sweep, reused across nodes and updates.
+    sweep: CutSweep,
     /// Number of cut recomputations performed by the last update.
     last_update_size: usize,
     /// Rank entries refreshed by the last update (see
@@ -130,53 +131,43 @@ fn wave_of(cut: &DisjointCut, waves: &[u32]) -> u32 {
 
 impl CutState {
     /// Full computation for all live nodes (comprehensive analysis).
-    pub fn compute(aig: &Aig) -> CutState {
-        match CutState::compute_with(aig, &WorkerPool::new(1)) {
-            Ok(state) => state,
-            // unreachable on a serial pool: the closure runs on this thread
-            Err(p) => p.resume(),
-        }
-    }
-
-    /// Full computation with the disjoint cuts of independent nodes
-    /// computed in parallel on `pool` — the analysis step-1
-    /// parallelisation.
     ///
-    /// The reach map and topological ranks are computed once up front and
-    /// are read-only inputs to every [`closest_disjoint_cut`] call, so the
-    /// per-node cut computations are independent; chunk-ordered joins make
-    /// the result identical to [`CutState::compute`] at any thread count.
-    pub fn compute_with(aig: &Aig, pool: &WorkerPool) -> Result<CutState, WorkerPanic> {
+    /// Cuts are filled fanouts-first (rank descending), so every node's
+    /// sweep can reuse the stored cuts of the nodes it expands (see
+    /// [`crate::closest_disjoint_cut`] for the rule) and its CPM wave follows
+    /// from its members' waves, which are already assigned.
+    pub fn compute(aig: &Aig) -> CutState {
         let reach = ReachMap::compute(aig);
         let ranks = als_aig::topo::topo_ranks(aig);
-        let live: Vec<NodeId> = aig.iter_live().collect();
-        let computed =
-            pool.map_in("cuts", &live, |&id| closest_disjoint_cut(aig, &reach, &ranks, id))?;
-        let mut cuts = vec![None; aig.num_nodes()];
-        for (&id, cut) in live.iter().zip(computed) {
-            cuts[id.index()] = Some(cut);
-        }
-        // Derive CPM waves in reverse topological order (rank descending):
-        // a cut's node members lie in the node's TFO, hence rank higher
-        // and are assigned first.
-        let mut cpm_wave = vec![NO_WAVE; aig.num_nodes()];
-        let mut ranked: Vec<(u32, NodeId)> = live.iter().map(|&n| (ranks[n.index()], n)).collect();
+        let mut ranked: Vec<(u32, NodeId)> =
+            aig.iter_live().map(|n| (ranks[n.index()], n)).collect();
         ranked.sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
-        for &(_, n) in &ranked {
-            if let Some(cut) = &cuts[n.index()] {
-                cpm_wave[n.index()] = wave_of(cut, &cpm_wave);
-            }
-        }
-        let last_update_size = live.len();
-        Ok(CutState {
+        let mut state = CutState {
             reach,
             ranks,
-            cuts,
-            cpm_wave,
+            cuts: vec![None; aig.num_nodes()],
+            cpm_wave: vec![NO_WAVE; aig.num_nodes()],
             plan: PlanCell::default(),
-            last_update_size,
+            sweep: CutSweep::default(),
+            last_update_size: ranked.len(),
             last_rank_work: aig.num_nodes(),
-        })
+        };
+        for &(_, n) in &ranked {
+            state.fill(aig, n);
+        }
+        state
+    }
+
+    /// Recomputes `n`'s cut, reusing the stored cuts of the nodes its
+    /// sweep expands, and re-derives its CPM wave. Returns whether the
+    /// wave changed. Every node downstream of `n` must already hold its
+    /// current cut and wave.
+    fn fill(&mut self, aig: &Aig, n: NodeId) -> bool {
+        let CutState { reach, ranks, cuts, cpm_wave, sweep, .. } = self;
+        let cut = sweep.run(aig, reach, ranks, n, |t| cuts[t.index()].as_ref());
+        let wave = wave_of(&cut, cpm_wave);
+        cuts[n.index()] = Some(cut);
+        std::mem::replace(&mut cpm_wave[n.index()], wave) != wave
     }
 
     /// Incremental refresh after a LAC: recomputes reachability and cuts
@@ -211,35 +202,27 @@ impl CutState {
             self.last_rank_work = aig.num_nodes();
         }
         self.reach.recompute_for_ranked(aig, &sv, &self.ranks);
-        for &dead in &edit.removed {
-            self.cuts[dead.index()] = None;
-        }
-        for &n in &sv {
-            self.cuts[n.index()] = Some(closest_disjoint_cut(aig, &self.reach, &self.ranks, n));
-        }
-        // Incremental wave maintenance, confined to S_v. Soundness: if a
-        // node n outside S_v had a cut member t inside S_v, then n lies in
-        // t's TFI; S_v is a union of TFI cones, so n would be in S_v too —
-        // contradiction. Hence waves outside S_v cannot change, and
-        // refreshing S_v in rank-descending order (members first) restores
-        // the full invariant.
+        // Removed nodes lose their cut and wave.
         let mut wave_changed = false;
         for &dead in &edit.removed {
+            self.cuts[dead.index()] = None;
             if self.cpm_wave[dead.index()] != NO_WAVE {
                 self.cpm_wave[dead.index()] = NO_WAVE;
                 wave_changed = true;
             }
         }
+        // Refill S_v fanouts-first, so each sweep reuses cuts that are
+        // already current: a node outside S_v keeps a valid cut by the CPC,
+        // one inside was refilled before anything upstream of it. Waves
+        // follow the same argument: if a node n outside S_v had a cut
+        // member t inside S_v, then n lies in t's TFI; S_v is a union of
+        // TFI cones, so n would be in S_v too. Hence waves outside S_v
+        // cannot change.
         let mut sv_ranked: Vec<(u32, NodeId)> =
             sv.iter().map(|&n| (self.ranks[n.index()], n)).collect();
         sv_ranked.sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
         for &(_, n) in &sv_ranked {
-            let new_wave =
-                self.cuts[n.index()].as_ref().map_or(NO_WAVE, |cut| wave_of(cut, &self.cpm_wave));
-            if self.cpm_wave[n.index()] != new_wave {
-                self.cpm_wave[n.index()] = new_wave;
-                wave_changed = true;
-            }
+            wave_changed |= self.fill(aig, n);
         }
         // The cached plan survives an update only when nothing it encodes
         // moved: no wave changed (covers removals and revived nodes, whose
@@ -349,7 +332,9 @@ impl CutState {
     /// 3. the stored cut verifies against the reachability map
     ///    ([`verify_cut`]: member disjointness, exact cover, one-cut paths),
     /// 4. the stored cut equals a from-scratch recompute
-    ///    ([`closest_disjoint_cut`] on the current graph).
+    ///    ([`crate::closest_disjoint_cut`] on the current graph). The recompute
+    ///    reads no stored cut, so a corrupted cut cannot vouch for the
+    ///    nodes whose fill reused it.
     ///
     /// Any violation means the incremental bookkeeping (CPC reuse plus
     /// `S_v`-restricted refresh) has drifted from the circuit; the caller
@@ -382,32 +367,40 @@ impl CutState {
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
         };
+        let mut sweep = CutSweep::default();
         let picks = sample.min(live.len());
         for i in 0..picks {
             let j = i + (next() % (live.len() - i) as u64) as usize;
             live.swap(i, j);
-            let id = live[i];
-            if &self.reach.fresh_mask(aig, id) != self.reach.mask(id) {
-                return Err(format!("stale reachability mask of {id}"));
-            }
-            let Some(cut) = self.get_cut(id) else {
-                return Err(format!("missing disjoint cut of live node {id}"));
-            };
-            verify_cut(aig, &self.reach, id, cut)
-                .map_err(|e| format!("invalid cut of {id}: {e}"))?;
-            if &closest_disjoint_cut(aig, &self.reach, &self.ranks, id) != cut {
-                return Err(format!("cut of {id} diverged from a fresh recompute"));
-            }
+            self.check_node(aig, live[i], &mut sweep)?;
         }
         Ok(())
     }
 
-    /// Wrecks every stored cut. Test hook for exercising corruption
-    /// fallback paths; never called by the flows themselves.
+    /// The per-node checks of [`CutState::spot_check`].
+    fn check_node(&self, aig: &Aig, id: NodeId, sweep: &mut CutSweep) -> Result<(), String> {
+        if &self.reach.fresh_mask(aig, id) != self.reach.mask(id) {
+            return Err(format!("stale reachability mask of {id}"));
+        }
+        let Some(cut) = self.get_cut(id) else {
+            return Err(format!("missing disjoint cut of live node {id}"));
+        };
+        verify_cut(aig, &self.reach, id, cut).map_err(|e| format!("invalid cut of {id}: {e}"))?;
+        if &sweep.run(aig, &self.reach, &self.ranks, id, |_| None) != cut {
+            return Err(format!("cut of {id} diverged from a fresh recompute"));
+        }
+        Ok(())
+    }
+
+    /// Wrecks the stored cut of `node`, or of every node when `None`.
+    /// Test hook for exercising corruption fallback paths; never called by
+    /// the flows themselves.
     #[doc(hidden)]
-    pub fn debug_corrupt_cuts(&mut self) {
-        for slot in self.cuts.iter_mut().flatten() {
-            *slot = DisjointCut::from_members(Vec::new());
+    pub fn debug_corrupt_cuts(&mut self, node: Option<NodeId>) {
+        for (i, slot) in self.cuts.iter_mut().enumerate() {
+            if let Some(cut) = slot.as_mut().filter(|_| node.is_none_or(|n| n.index() == i)) {
+                *cut = DisjointCut::from_members(Vec::new());
+            }
         }
     }
 }
@@ -415,7 +408,7 @@ impl CutState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::disjoint::verify_cut;
+    use crate::disjoint::{verify_cut, CutMember};
     use als_aig::edit::replace;
     use als_aig::{Aig, Lit};
 
@@ -507,15 +500,80 @@ mod tests {
     fn spot_check_detects_corrupted_cuts() {
         let (aig, _) = sample();
         let mut state = CutState::compute(&aig);
-        state.debug_corrupt_cuts();
+        state.debug_corrupt_cuts(None);
         assert!(state.spot_check(&aig, 64, 3).is_err());
+    }
+
+    /// Live nodes of `aig`, rank descending (the fill order).
+    fn fill_order(aig: &Aig, state: &CutState) -> Vec<NodeId> {
+        let mut order: Vec<NodeId> = aig.iter_live().collect();
+        order.sort_unstable_by_key(|n| std::cmp::Reverse(state.ranks()[n.index()]));
+        order
+    }
+
+    /// Per node `t`, the nodes whose fill reused `t`'s stored cut.
+    fn consumers(aig: &Aig, state: &CutState) -> Vec<Vec<NodeId>> {
+        let mut users = vec![Vec::new(); aig.num_nodes()];
+        let mut sweep = CutSweep::default();
+        for n in fill_order(aig, state) {
+            sweep.run(aig, &state.reach, &state.ranks, n, |t| {
+                users[t.index()].push(n);
+                state.cuts[t.index()].as_ref()
+            });
+        }
+        users
+    }
+
+    #[test]
+    fn spot_check_does_not_trust_reused_cuts() {
+        let aig = als_circuits::benchmark("sm9x8", als_circuits::BenchmarkScale::Reduced);
+        let fresh = CutState::compute(&aig);
+        let users = consumers(&aig, &fresh);
+        let t = aig.iter_live().max_by_key(|t| users[t.index()].len()).unwrap();
+        let users = &users[t.index()];
+        assert!(users.len() >= 10, "premise: {t} is reused by only {} fills", users.len());
+        let refill = |state: &mut CutState| {
+            for n in fill_order(&aig, state) {
+                if users.contains(&n) {
+                    state.fill(&aig, n);
+                }
+            }
+        };
+
+        // An emptied cut poisons every fill that jumps through it.
+        let mut state = fresh.clone();
+        state.debug_corrupt_cuts(Some(t));
+        refill(&mut state);
+        assert!(state.spot_check(&aig, usize::MAX, 0).is_err());
+
+        // A valid but not closest cut (the output sinks) is subtler: a
+        // recompute that reused stored cuts would reproduce each
+        // consumer's wrong cut and accept it. The spot check recomputes
+        // without them and must reject every one.
+        let mut state = fresh.clone();
+        let sinks: Vec<CutMember> =
+            fresh.reach.mask(t).iter_ones().map(|o| CutMember::Output(o as u32)).collect();
+        assert_ne!(fresh.cut(t).members(), sinks.as_slice(), "premise: cut of {t} is not trivial");
+        state.cuts[t.index()] = Some(DisjointCut::from_members(sinks));
+        refill(&mut state);
+        let mut sweep = CutSweep::default();
+        let mut vouched = 0;
+        for &n in users {
+            let reused = sweep.run(&aig, &state.reach, &state.ranks, n, |u| state.get_cut(u));
+            if state.cut(n) != fresh.cut(n) && &reused == state.cut(n) {
+                vouched += 1;
+                assert!(state.check_node(&aig, n, &mut sweep).is_err(), "wrong cut of {n} passed");
+            }
+        }
+        assert!(vouched >= 10, "only {vouched} consumers got a wrong cut");
+        assert!(state.spot_check(&aig, usize::MAX, 0).is_err());
     }
 
     #[test]
     fn spot_check_zero_sample_is_a_noop() {
         let (aig, _) = sample();
         let mut state = CutState::compute(&aig);
-        state.debug_corrupt_cuts();
+        state.debug_corrupt_cuts(None);
         state.spot_check(&aig, 0, 0).unwrap();
     }
 
@@ -595,20 +653,6 @@ mod tests {
             assert_eq!(state.cut(id), fresh.cut(id), "cut of {id}");
         }
         state.spot_check(&aig, 64, 11).unwrap();
-    }
-
-    #[test]
-    fn parallel_compute_matches_serial() {
-        let (aig, _) = sample();
-        let serial = CutState::compute(&aig);
-        for threads in [2, 7] {
-            let par = CutState::compute_with(&aig, &WorkerPool::new(threads)).unwrap();
-            for id in aig.iter_live() {
-                assert_eq!(serial.cut(id), par.cut(id), "cut of {id} at {threads} threads");
-                assert_eq!(serial.reach().mask(id), par.reach().mask(id));
-            }
-            assert_eq!(serial.ranks(), par.ranks());
-        }
     }
 
     /// Reference waves derived from scratch, for cross-checking the

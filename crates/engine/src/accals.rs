@@ -73,7 +73,7 @@ impl Flow for AccAlsFlow {
             let _phase_span = ctx.obs().span("phase1");
             // Comprehensive analysis.
             let span = ctx.obs().span("cuts");
-            let cuts = CutState::compute_with(&ctx.aig, ctx.pool())?;
+            let cuts = CutState::compute(&ctx.aig);
             ctx.times.cuts += span.finish();
             ctx.metrics.cut_recomputes.inc();
             let mut span = ctx.obs().span("cpm");

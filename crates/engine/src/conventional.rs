@@ -62,7 +62,7 @@ impl Flow for ConventionalFlow {
             // "conventional" cost the dual-phase flow removes).
             let mut span = ctx.obs().span("cuts");
             span.count("nodes", ctx.aig.num_ands() as u64);
-            let cuts = CutState::compute_with(&ctx.aig, ctx.pool())?;
+            let cuts = CutState::compute(&ctx.aig);
             ctx.times.cuts += span.finish();
             ctx.metrics.cut_recomputes.inc();
 

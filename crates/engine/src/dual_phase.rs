@@ -315,7 +315,7 @@ impl Flow for DualPhaseFlow {
             let phase1_span = ctx.obs().span("phase1");
             let mut span = ctx.obs().span("cuts");
             span.count("nodes", ctx.aig.num_ands() as u64);
-            let mut cuts = CutState::compute_with(&ctx.aig, ctx.pool())?;
+            let mut cuts = CutState::compute(&ctx.aig);
             ctx.times.cuts += span.finish();
             ctx.metrics.cut_recomputes.inc();
             // Last rung of the degradation ladder: if this comprehensive
@@ -326,7 +326,7 @@ impl Flow for DualPhaseFlow {
             if let Some(prev) = fallback_pending.take() {
                 #[cfg(feature = "fault-inject")]
                 if cfg.faults.take_corrupt_fresh() {
-                    cuts.debug_corrupt_cuts();
+                    cuts.debug_corrupt_cuts(None);
                 }
                 if let Err(detail) =
                     cuts.spot_check(&ctx.aig, cfg.guard.spot_check.max(16), total_rounds as u64)
@@ -513,7 +513,7 @@ impl Flow for DualPhaseFlow {
                 // corrupt bookkeeping.
                 #[cfg(feature = "fault-inject")]
                 if cfg.faults.take_corrupt_at_round(total_rounds) {
-                    cuts.debug_corrupt_cuts();
+                    cuts.debug_corrupt_cuts(None);
                 }
                 #[cfg(feature = "fault-inject")]
                 if cfg.faults.take_trip_deadline(total_rounds) {

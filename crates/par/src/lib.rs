@@ -1,9 +1,10 @@
 //! Shared worker pool for the analysis hot path.
 //!
-//! All three analysis steps of the dual-phase framework — disjoint cuts,
-//! CPM construction and LAC evaluation — are embarrassingly parallel over
-//! independent nodes once their read-only inputs (reach map, ranks,
-//! simulation values, earlier CPM rows) are fixed. This crate provides the
+//! CPM construction, LAC evaluation and simulation are embarrassingly
+//! parallel over independent nodes once their read-only inputs
+//! (simulation values, earlier CPM rows or logic levels) are fixed. (The
+//! disjoint cuts are filled sequentially: each node reuses its fanouts'
+//! cuts.) This crate provides the
 //! one threading primitive they all share, with three guarantees:
 //!
 //! * **Determinism.** Work is split into contiguous chunks and results are

@@ -272,14 +272,12 @@ impl RegionCost {
 /// Static per-region seeds, ns per unit. Only the order of magnitude
 /// matters — the first real observation replaces the seed — but a sane
 /// seed makes the very first decision of a run correct on typical hosts:
-/// simulation gates are a handful of word-ops per pattern word, CPM rows
-/// and LAC evaluations stream whole arena rows, and cut computation walks
-/// fanout cones.
+/// simulation gates are a handful of word-ops per pattern word, and CPM
+/// rows and LAC evaluations stream whole arena rows.
 fn seed_for(region: &str) -> f64 {
     match region {
         "sim" | "sim_wave" => 2.0,
         "cpm_wave" | "eval" => 100.0,
-        "cuts" => 5_000.0,
         _ => 1_000.0,
     }
 }

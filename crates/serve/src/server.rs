@@ -45,7 +45,7 @@
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
@@ -252,7 +252,6 @@ impl Daemon {
         let next_id = Arc::new(Mutex::new(max_recovered + 1));
 
         let listener = TcpListener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
 
         let conn_threads: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
@@ -280,29 +279,33 @@ impl Daemon {
             let conn_threads = conn_threads.clone();
             let next_id = next_id.clone();
             let jobs_dir = jobs_dir.clone();
+            // Blocking accept: `Daemon::shutdown` cancels `stop` and then
+            // wakes this loop with one loopback connection.
             threads.push(std::thread::Builder::new().name("als-accept".into()).spawn(
                 move || {
-                    while !stop.is_cancelled() {
-                        match listener.accept() {
-                            Ok((stream, _)) => {
-                                let ctx = ConnCtx {
-                                    queue: queue.clone(),
-                                    registry: registry.clone(),
-                                    metrics: metrics.clone(),
-                                    stop: stop.clone(),
-                                    next_id: next_id.clone(),
-                                    jobs_dir: jobs_dir.clone(),
-                                };
-                                let handle = std::thread::spawn(move || {
-                                    let _ = handle_connection(stream, &ctx);
-                                });
-                                lock(&conn_threads).push(handle);
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(20));
-                            }
-                            Err(_) => std::thread::sleep(Duration::from_millis(20)),
+                    for stream in listener.incoming() {
+                        if stop.is_cancelled() {
+                            break;
                         }
+                        let Ok(stream) = stream else {
+                            // Transient (e.g. out of descriptors): back off.
+                            std::thread::sleep(Duration::from_millis(20));
+                            continue;
+                        };
+                        let ctx = ConnCtx {
+                            queue: queue.clone(),
+                            registry: registry.clone(),
+                            metrics: metrics.clone(),
+                            stop: stop.clone(),
+                            next_id: next_id.clone(),
+                            jobs_dir: jobs_dir.clone(),
+                        };
+                        let handle = std::thread::spawn(move || {
+                            let _ = handle_connection(stream, &ctx);
+                        });
+                        let mut conns = lock(&conn_threads);
+                        reap_finished(&mut conns);
+                        conns.push(handle);
                     }
                 },
             )?);
@@ -342,6 +345,9 @@ impl Daemon {
     pub fn shutdown(mut self) -> std::io::Result<()> {
         self.queue.close();
         self.stop.cancel();
+        // Wake the blocking accept; it sees `stop` and exits. A failed
+        // connect means the listener is already gone.
+        let _ = TcpStream::connect(wake_addr(self.addr));
         // Cancel every non-terminal job; runners observe the token at the
         // next supervision check and seal their journals.
         for entry in lock(&self.registry).values() {
@@ -359,6 +365,30 @@ impl Daemon {
         // stays `queued` on disk and is re-admitted on the next start.
         Ok(())
     }
+}
+
+/// Joins the connection handlers that have finished, so the handle list
+/// tracks live connections rather than every connection ever accepted.
+fn reap_finished(conns: &mut Vec<JoinHandle<()>>) {
+    let mut i = 0;
+    while i < conns.len() {
+        if conns[i].is_finished() {
+            let _ = conns.swap_remove(i).join();
+        } else {
+            i += 1;
+        }
+    }
+}
+
+/// Where to connect to reach a listener bound to `addr`: the loopback
+/// address of the same family when bound to the unspecified address.
+fn wake_addr(addr: SocketAddr) -> SocketAddr {
+    let ip = match addr.ip() {
+        IpAddr::V4(ip) if ip.is_unspecified() => IpAddr::V4(Ipv4Addr::LOCALHOST),
+        IpAddr::V6(ip) if ip.is_unspecified() => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        ip => ip,
+    };
+    SocketAddr::new(ip, addr.port())
 }
 
 /// Scans the jobs directory, loads every persisted job into the registry
@@ -892,4 +922,28 @@ fn cancel(id: &str, ctx: &ConnCtx) -> Result<JobState, ErrorBody> {
     entry.cancel.cancel();
     let state = *lock(&entry.state);
     Ok(state)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::client::Client;
+
+    #[test]
+    fn connection_handles_are_reaped() {
+        let dir = std::env::temp_dir().join(format!("als-serve-reap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let daemon = Daemon::start(DaemonConfig { runners: 1, ..DaemonConfig::new(&dir) }).unwrap();
+        let client = Client::new(daemon.addr().to_string());
+        for _ in 0..200 {
+            client.list().unwrap();
+        }
+        // Each accept joins the handlers that have finished, so only
+        // connections whose handler had not yet exited can hold a handle;
+        // without reaping all 200 would.
+        let live = lock(&daemon.conn_threads).len();
+        assert!(live < 32, "{live} connection handles kept after 200 connections");
+        daemon.shutdown().unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -12,6 +12,9 @@ use dualphase_als::cuts::CutState;
 use dualphase_als::lac::{constant_lacs, Lac};
 use dualphase_als::sim::{PatternSet, Simulator};
 
+#[path = "support/reference_cut.rs"]
+mod reference_cut;
+
 fn mult33() -> Aig {
     dualphase_als::circuits::mult::mult(3, 3)
 }
@@ -25,6 +28,16 @@ fn all_cuts_of_benchmarks_are_valid_disjoint_cuts() {
             verify_cut(&aig, cuts.reach(), n, cuts.cut(n))
                 .unwrap_or_else(|e| panic!("{name}: {e}"));
         }
+    }
+}
+
+#[test]
+fn benchmark_cuts_equal_the_reference_construction() {
+    for name in ["sm9x8", "mult16", "adder", "c880", "c1908"] {
+        let aig = benchmark(name, BenchmarkScale::Reduced);
+        let cuts = CutState::compute(&aig);
+        reference_cut::check_cuts_match_reference(&aig, &cuts)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
     }
 }
 
@@ -82,6 +95,7 @@ fn incremental_cut_state_survives_long_lac_sequences() {
         assert_eq!(state.reach().mask(n), fresh.reach().mask(n), "reach of {n}");
         assert_eq!(state.cut(n), fresh.cut(n), "cut of {n}");
     }
+    reference_cut::check_cuts_match_reference(&aig, &state).unwrap();
 }
 
 #[test]

@@ -2,7 +2,8 @@
 //!
 //! The worker pool's determinism guarantee (chunk-ordered joins over pure
 //! per-item computations) is checked end to end here: random circuits via
-//! proptest for the three analysis steps at thread counts {1, 2, 7}, and a
+//! proptest for the pooled analysis steps (CPM, partial CPM, simulation)
+//! at thread counts {1, 2, 7}, and a
 //! whole dual-phase run compared at 1 vs 4 threads — same LAC sequence,
 //! same final error, same serialized circuit.
 
@@ -77,22 +78,6 @@ const THREAD_COUNTS: [usize; 3] = [1, 2, 7];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    #[test]
-    fn parallel_cuts_are_bit_identical((ni, ops, no) in arb_ops()) {
-        let aig = build_circuit(ni, &ops, no);
-        let serial = CutState::compute(&aig);
-        for threads in THREAD_COUNTS {
-            let par = CutState::compute_with(&aig, &forced_pool(threads)).unwrap();
-            prop_assert_eq!(serial.ranks(), par.ranks(), "ranks at {} threads", threads);
-            for n in aig.iter_live() {
-                prop_assert_eq!(
-                    serial.cut(n), par.cut(n), "cut of {} at {} threads", n, threads
-                );
-                prop_assert_eq!(serial.reach().mask(n), par.reach().mask(n));
-            }
-        }
-    }
 
     #[test]
     fn parallel_cpm_is_bit_identical((ni, ops, no) in arb_ops()) {

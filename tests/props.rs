@@ -9,6 +9,9 @@ use dualphase_als::cuts::CutState;
 use dualphase_als::lac::Lac;
 use dualphase_als::sim::{PatternSet, Simulator};
 
+#[path = "support/reference_cut.rs"]
+mod reference_cut;
+
 /// Operation encoding for random circuit construction.
 #[derive(Clone, Debug)]
 struct Op {
@@ -125,6 +128,18 @@ proptest! {
     }
 
     #[test]
+    fn computed_cuts_equal_the_reference_construction((ni, ops, no) in arb_ops()) {
+        let aig = build_circuit(ni, &ops, no);
+        let state = CutState::compute(&aig);
+        let verdict = reference_cut::check_cuts_match_reference(&aig, &state);
+        prop_assert!(verdict.is_ok(), "{:?}", verdict);
+    }
+
+    /// The engine's edit pattern (`Ctx::apply` with constant folding): one
+    /// LAC plus the folding records it triggers are *all* applied before
+    /// the cut state sees any of them, then `update_after` runs once per
+    /// record.
+    #[test]
     fn incremental_cuts_equal_fresh_cuts(
         (ni, ops, no) in arb_ops(),
         picks in proptest::collection::vec((any::<u16>(), any::<u8>()), 1..5),
@@ -134,13 +149,20 @@ proptest! {
         for (pick, mode) in picks {
             let Some(lac) = choose_lac(&aig, pick, mode) else { break };
             let rec = lac.apply(&mut aig);
-            state.update_after(&aig, &rec);
+            let seed = rec.replacement.node();
+            let mut records = vec![rec];
+            records.extend(dualphase_als::aig::simplify::propagate_constants_from(&mut aig, &[seed]));
+            for rec in &records {
+                state.update_after(&aig, rec);
+            }
         }
         let fresh = CutState::compute(&aig);
         for n in aig.iter_live() {
             prop_assert_eq!(state.reach().mask(n), fresh.reach().mask(n));
             prop_assert_eq!(state.cut(n), fresh.cut(n));
         }
+        let verdict = reference_cut::check_cuts_match_reference(&aig, &state);
+        prop_assert!(verdict.is_ok(), "{:?}", verdict);
     }
 
     #[test]
